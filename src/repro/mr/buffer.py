@@ -31,8 +31,13 @@ from repro.mr import fastpath, serde
 from repro.mr.api import Context
 from repro.mr.compress import get_codec
 from repro.mr.config import JobConf
-from repro.mr.merge import group_by_key, merge_runs, merge_sorted
-from repro.mr.segment import Segment, build_segment_bytes, iter_segment_bytes
+from repro.mr.merge import (
+    group_by_key,
+    merge_frames,
+    merge_runs,
+    merge_sorted,
+)
+from repro.mr.segment import Segment, frame_records, iter_segment_bytes
 from repro.mr.storage import LocalStore
 from repro.obs.trace import current_tracer
 
@@ -348,19 +353,15 @@ class MapOutputBuffer:
         records: Iterable[tuple[Any, Any]],
     ) -> Segment:
         """Serialise, compress (metered) and persist one segment."""
-        buf = bytearray()
         if self._batch and type(records) is list:
             # Batched tier: frame the whole run with one run-oriented
-            # encode (byte-identical to the per-record loop below).
-            count = len(records)
+            # encode (byte-identical to the per-record framing).
+            buf = bytearray()
             serde.append_records(buf, records)
+            raw, count = bytes(buf), len(records)
         else:
-            count = 0
-            append_record = serde.append_record
-            for key, value in records:
-                append_record(buf, key, value)
-                count += 1
-        return self._persist_segment(name, partition, bytes(buf), count)
+            raw, count = frame_records(records)
+        return self._persist_segment(name, partition, raw, count)
 
     def _write_segment_payloads(
         self,
@@ -431,37 +432,36 @@ class MapOutputBuffer:
         self._buffered_bytes = 0
 
     # -- finalisation ----------------------------------------------------
+    def _read_raw(self, segment: Segment) -> bytes:
+        """Read and decompress one segment, metering both charges."""
+        job = self._job
+        counters = self._context.counters
+        data = segment.read_bytes()
+        raw, cost = job.cost_meter.measure(self._codec.decompress, data)
+        counters.add(C.CPU_CODEC_SECONDS, cost)
+        counters.add(
+            C.CPU_FRAMEWORK_SECONDS,
+            job.framework_cost_model.serialize_cost(len(raw)),
+        )
+        return raw
+
     def _scan_metered(self, segment: Segment) -> Iterator[tuple[Any, Any]]:
-        """Scan a segment, metering decompression and parse cost."""
-        job = self._job
-        counters = self._context.counters
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(self._codec.decompress, data)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
-        )
-        yield from iter_segment_bytes(raw, get_codec(None))
+        """Lazily scan a segment; :meth:`_read_raw` charges at first pull."""
+        yield from iter_segment_bytes(self._read_raw(segment), get_codec(None))
 
-    def _scan_list(self, segment: Segment) -> list[tuple[Any, Any]]:
-        """Materialised twin of :meth:`_scan_metered` — same charges.
+    def _merge_frames(
+        self, name: str, partition: int, runs: list[Segment]
+    ) -> Segment:
+        """Raw-frame merge pass (batched tier) into a new segment.
 
-        The lazy scan charges its segment at the first record pull,
-        which a heap merge performs for every input run up front (heap
-        construction), in run order; materialising eagerly in the same
-        run order therefore reproduces the exact charge sequence.
+        Charges keep a decoding pass's order: each run's scan charges
+        in run order (what heap construction pulls first), then the
+        write.
         """
-        job = self._job
-        counters = self._context.counters
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(self._codec.decompress, data)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
+        raw, count = merge_frames(
+            [self._read_raw(seg) for seg in runs], self._job.comparator
         )
-        return serde.decode_stream(raw)
+        return self._persist_segment(name, partition, raw, count)
 
     def _merge_partition(
         self,
@@ -491,10 +491,8 @@ class MapOutputBuffer:
         batched = self._batch
         intermediate = 0
         # Multi-pass merge when there are more runs than the merge factor.
-        # The batched tier materialises the runs and run-merges them
-        # (concat + stable sort); the charge order is unchanged — the
-        # merge cost first, then each run's scan charges in run order —
-        # matching when the lazy heap merge would pull them.
+        # The merge cost is charged first, then each run's scan charges
+        # in run order — when the lazy heap merge would pull them.
         while len(segments) > job.merge_factor:
             batch, segments = segments[: job.merge_factor], segments[job.merge_factor:]
             name = f"{self._task_id}/inter{intermediate}/p{partition}"
@@ -505,15 +503,13 @@ class MapOutputBuffer:
                 job.framework_cost_model.merge_cost(total_records, len(batch)),
             )
             if batched:
-                merged: Iterable[tuple[Any, Any]] = merge_runs(
-                    [self._scan_list(seg) for seg in batch], job.comparator
-                )
+                segments.append(self._merge_frames(name, partition, batch))
             else:
                 merged = merge_sorted(
                     [self._scan_metered(seg) for seg in batch],
                     job.comparator,
                 )
-            segments.append(self._write_segment(name, partition, merged))
+                segments.append(self._write_segment(name, partition, merged))
             for seg in batch:
                 seg.delete()
 
@@ -522,25 +518,35 @@ class MapOutputBuffer:
             C.CPU_FRAMEWORK_SECONDS,
             job.framework_cost_model.merge_cost(total_records, len(segments)),
         )
-        if batched:
-            merged = merge_runs(
-                [self._scan_list(seg) for seg in segments], job.comparator
-            )
-        else:
-            merged = merge_sorted(
-                [self._scan_metered(seg) for seg in segments], job.comparator
-            )
-        if apply_combine and self._combine_runner is not None:
-            records: list[tuple[Any, Any]] = []
-            groups = group_by_key(
-                iter(merged), job.effective_grouping_comparator
-            )
-            self._combine_runner.run(
-                partition, groups, lambda k, v: records.append((k, v))
-            )
-            merged = records
         name = f"{self._task_id}/out/p{partition}"
-        final = self._write_segment(name, partition, merged)
+        combine = apply_combine and self._combine_runner is not None
+        if batched and not combine:
+            final = self._merge_frames(name, partition, segments)
+        else:
+            if batched:
+                # The combiner needs values: decode whole runs.
+                merged: Iterable[tuple[Any, Any]] = merge_runs(
+                    [
+                        serde.decode_stream(self._read_raw(seg))
+                        for seg in segments
+                    ],
+                    job.comparator,
+                )
+            else:
+                merged = merge_sorted(
+                    [self._scan_metered(seg) for seg in segments],
+                    job.comparator,
+                )
+            if combine:
+                records: list[tuple[Any, Any]] = []
+                groups = group_by_key(
+                    iter(merged), job.effective_grouping_comparator
+                )
+                self._combine_runner.run(
+                    partition, groups, lambda k, v: records.append((k, v))
+                )
+                merged = records
+            final = self._write_segment(name, partition, merged)
         for seg in segments:
             seg.delete()
         return final

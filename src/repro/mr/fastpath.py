@@ -98,17 +98,6 @@ def set_batch_enabled(value: bool) -> None:
 
 
 @contextmanager
-def batch_disabled() -> Iterator[None]:
-    """Run a block without the batched paths (restores the setting)."""
-    previous = _batch_enabled
-    set_batch_enabled(False)
-    try:
-        yield
-    finally:
-        set_batch_enabled(previous)
-
-
-@contextmanager
 def batch_forced(value: bool) -> Iterator[None]:
     """Run a block with the batch toggle pinned to ``value``."""
     previous = _batch_enabled

@@ -70,6 +70,23 @@ def merge_runs(
     return merged
 
 
+def merge_frames(
+    raws: list[bytes], comparator: Comparator
+) -> tuple[bytes, int]:
+    """Raw-frame merge of varint-framed runs; return ``(raw, count)``.
+
+    Each run is scanned for keys only (:func:`serde.decode_key_frames`),
+    the ``(key, frame)`` pairs are ordered by :func:`merge_runs`, and the
+    frames are joined unchanged — values are never decoded and no record
+    is re-encoded, as Hadoop merges raw spill bytes.  The result is the
+    stream a decode/merge/re-encode pass would write, byte for byte.
+    """
+    merged = merge_runs(
+        [serde.decode_key_frames(raw) for raw in raws], comparator
+    )
+    return b"".join([frame for _, frame in merged]), len(merged)
+
+
 def group_runs(
     records: list[tuple[Any, Any]],
 ) -> Iterator[tuple[Any, list[Any]]]:

@@ -18,12 +18,18 @@ from repro.mr.api import Context
 from repro.mr.compress import get_codec
 from repro.mr.config import JobConf
 from repro.mr.counters import Counters
-from repro.mr.merge import group_by_key, group_runs, merge_runs, merge_sorted
+from repro.mr.merge import (
+    group_by_key,
+    group_runs,
+    merge_frames,
+    merge_runs,
+    merge_sorted,
+)
 from repro.mr.segment import (
     Segment,
     SegmentPayload,
+    frame_records,
     iter_segment_bytes,
-    write_segment,
 )
 from repro.mr.storage import LocalStore
 from repro.obs.trace import SpanRecord, current_tracer
@@ -241,39 +247,46 @@ class ReduceTask:
         return staged
 
     # -- merging ---------------------------------------------------------
+    def _read_raw(self, segment: Segment, counters: Counters) -> bytes:
+        """Read and decompress one segment, metering both charges."""
+        job = self._job
+        data = segment.read_bytes()
+        raw, cost = job.cost_meter.measure(segment.codec.decompress, data)
+        counters.add(C.CPU_CODEC_SECONDS, cost)
+        counters.add(
+            C.CPU_FRAMEWORK_SECONDS,
+            job.framework_cost_model.serialize_cost(len(raw)),
+        )
+        return raw
+
     def _scan_metered(
         self, segment: Segment, counters: Counters
     ) -> Iterator[tuple[Any, Any]]:
-        """Scan one segment, metering decompression and parse cost."""
-        job = self._job
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(segment.codec.decompress, data)
-        counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
-        )
+        """Lazily scan a segment; :meth:`_read_raw` charges at first pull."""
+        raw = self._read_raw(segment, counters)
         yield from iter_segment_bytes(raw, get_codec(None))
 
-    def _scan_list(
-        self, segment: Segment, counters: Counters
-    ) -> list[tuple[Any, Any]]:
-        """Materialised twin of :meth:`_scan_metered` (batched tier).
-
-        Identical charges in identical order — one disk/serve read, the
-        metered decompression, and the parse's framework cost — but the
-        whole run is decoded in one :func:`serde.decode_stream` call
-        instead of a generator pulled record by record.
-        """
-        job = self._job
-        data = segment.read_bytes()
-        raw, cost = job.cost_meter.measure(segment.codec.decompress, data)
+    def _persist(
+        self,
+        store: LocalStore,
+        name: str,
+        raw: bytes,
+        count: int,
+        counters: Counters,
+    ) -> Segment:
+        """Compress (metered, like the map side) and write one segment."""
+        codec = get_codec(self._job.map_output_codec)
+        data, cost = self._job.cost_meter.measure(codec.compress, raw)
         counters.add(C.CPU_CODEC_SECONDS, cost)
-        counters.add(
-            C.CPU_FRAMEWORK_SECONDS,
-            job.framework_cost_model.serialize_cost(len(raw)),
+        store.write_file(name, data)
+        return Segment(
+            store=store,
+            name=name,
+            partition=self.partition,
+            record_count=count,
+            raw_bytes=len(raw),
+            codec=codec,
         )
-        return serde.decode_stream(raw)
 
     def _merged_stream(
         self,
@@ -283,18 +296,19 @@ class ReduceTask:
     ) -> Iterator[tuple[Any, Any]] | list[tuple[Any, Any]]:
         """Merge the fetched runs into one sorted record stream.
 
-        On the batched tier the result is a materialised list produced
-        by :func:`merge_runs` — same record order, same counter values.
-        Charge-order note: the reference path charges each pass's merge
-        cost *before* the lazy merge is consumed (``heapq.merge`` pulls
-        the first record of every run — and thus runs every scan up to
-        its first yield — only at heap build, inside ``write_segment``
-        / the reduce loop), so the batched path charges the merge cost
-        first and then scans, reproducing the framework counter's
-        float-add sequence exactly.
+        On the batched tier every intermediate pass is a raw-frame
+        merge — runs are scanned for keys only and their framed bytes
+        written back unchanged — and the final merge is a materialised
+        list produced by :func:`merge_runs`: same bytes, same record
+        order, same counter values.  Charge-order note: the reference
+        path charges each pass's merge cost *before* the lazy merge is
+        consumed (``heapq.merge`` pulls the first record of every run —
+        and thus runs every scan up to its first yield — only at heap
+        build, inside the pass's framing loop / the reduce loop), so the
+        batched path charges the merge cost first and then scans,
+        reproducing the framework counter's float-add sequence exactly.
         """
         job = self._job
-        codec = get_codec(job.map_output_codec)
         intermediate = 0
         segments = list(segments)
         tracer = current_tracer()
@@ -317,19 +331,24 @@ class ReduceTask:
                     ),
                 )
                 if batched:
-                    merged: Any = merge_runs(
-                        [self._scan_list(seg, counters) for seg in batch],
+                    raw, count = merge_frames(
+                        [self._read_raw(seg, counters) for seg in batch],
                         job.comparator,
                     )
                 else:
-                    merged = merge_sorted(
-                        [self._scan_metered(seg, counters) for seg in batch],
-                        job.comparator,
+                    raw, count = frame_records(
+                        merge_sorted(
+                            [
+                                self._scan_metered(seg, counters)
+                                for seg in batch
+                            ],
+                            job.comparator,
+                        )
                     )
                 name = f"{self.task_id}/merge{intermediate}"
                 intermediate += 1
                 segments.append(
-                    write_segment(store, name, self.partition, merged, codec)
+                    self._persist(store, name, raw, count, counters)
                 )
         total_records = sum(seg.record_count for seg in segments)
         counters.add(
@@ -340,7 +359,10 @@ class ReduceTask:
         )
         if batched:
             return merge_runs(
-                [self._scan_list(seg, counters) for seg in segments],
+                [
+                    serde.decode_stream(self._read_raw(seg, counters))
+                    for seg in segments
+                ],
                 job.comparator,
             )
         return merge_sorted(

@@ -16,6 +16,20 @@ from repro.mr import fastpath, serde
 from repro.mr.compress import Codec, get_codec
 
 
+def frame_records(records: Iterable[tuple[Any, Any]]) -> tuple[bytes, int]:
+    """Serialise ``records`` as a varint-framed stream.
+
+    Returns ``(raw, record_count)``: the uncompressed segment bytes.
+    """
+    buf = bytearray()
+    count = 0
+    append_record = serde.append_record
+    for key, value in records:
+        append_record(buf, key, value)
+        count += 1
+    return bytes(buf), count
+
+
 def build_segment_bytes(
     records: Iterable[tuple[Any, Any]], codec: Codec
 ) -> tuple[bytes, int, int]:
@@ -24,35 +38,7 @@ def build_segment_bytes(
     Returns ``(data, record_count, raw_bytes)`` where ``raw_bytes`` is
     the uncompressed serialised size.
     """
-    buf = bytearray()
-    count = 0
-    append_record = serde.append_record
-    for key, value in records:
-        append_record(buf, key, value)
-        count += 1
-    raw = bytes(buf)
-    return codec.compress(raw), count, len(raw)
-
-
-def build_segment_from_payloads(
-    payloads: Iterable[bytes], codec: Codec
-) -> tuple[bytes, int, int]:
-    """Like :func:`build_segment_bytes` for already-serialised records.
-
-    ``payloads`` are unframed record payloads (as produced by
-    :func:`repro.mr.serde.encode_kv`); the frame prefix is added here.
-    This is the spill path when records were serialised once at collect
-    time — byte-identical to re-encoding them.
-    """
-    buf = bytearray()
-    count = 0
-    write_varint = serde.write_varint
-    extend = buf.extend
-    for payload in payloads:
-        write_varint(buf, len(payload))
-        extend(payload)
-        count += 1
-    raw = bytes(buf)
+    raw, count = frame_records(records)
     return codec.compress(raw), count, len(raw)
 
 

@@ -955,11 +955,11 @@ def encode_kv_batch(out: bytearray, pairs: Any) -> list[int]:
     §11).  The batch is segmented into *runs* of identical ``(key type,
     value type)`` — in-memory run-length type headers — and each run is
     encoded with one encoder dispatch instead of one per record; the
-    dominant shuffle shape (``str`` key, ``str`` value) is fully
-    inlined.  A heterogeneous tail degenerates to runs of length one
-    and falls back to the scalar entry point, so the output is
-    byte-identical to calling :func:`encode_kv_into` once per record —
-    the on-disk format never changes.
+    dominant shuffle shapes (``str`` key with a ``str``, ``list`` or
+    ``int`` value) are fully inlined.  A heterogeneous tail degenerates
+    to runs of length one and falls back to the scalar entry point, so
+    the output is byte-identical to calling :func:`encode_kv_into` once
+    per record — the on-disk format never changes.
     """
     sizes: list[int] = []
     n = len(pairs)
@@ -1062,6 +1062,31 @@ def encode_kv_batch(out: bytearray, pairs: Any) -> list[int]:
                             encoder(out, item)
                         else:
                             _encode_fallback(out, item)
+                sizes_append(len(out) - before)
+        elif key_kind is str and value_kind is int:
+            # Sort's map- and reduce-output shape (line, offset):
+            # byte-identical to _enc_str + _enc_int, with ints outside
+            # the zig-zag window still taking _enc_int's bigint path.
+            for index in range(i, j):
+                key, value = pairs[index]
+                before = len(out)
+                raw = key.encode("utf-8")
+                append(0x05)  # _TAG_STR
+                size = len(raw)
+                while size > 0x7F:
+                    append(size & 0x7F | 0x80)
+                    size >>= 7
+                append(size)
+                out += raw
+                if _INT_LO <= value < _INT_HI:
+                    append(0x03)  # _TAG_INT
+                    zigzag = (value << 1) ^ (value >> 63)
+                    while zigzag > 0x7F:
+                        append(zigzag & 0x7F | 0x80)
+                        zigzag >>= 7
+                    append(zigzag)
+                else:
+                    _enc_int(out, value)
                 sizes_append(len(out) - before)
         else:
             enc_key = get(key_kind, _encode_fallback)
@@ -1307,6 +1332,71 @@ def decode_stream(data: Any) -> list[tuple[Any, Any]]:
             else:
                 value, offset = decoders[tag](data, offset)
             append((key, value))
+    except IndexError:
+        raise SerdeError("truncated record") from None
+    return out
+
+
+def decode_key_frames(data: Any) -> list[tuple[Any, Any]]:
+    """Scan a varint-framed record stream for its keys only.
+
+    Returns one ``(key, frame)`` pair per record, where ``frame`` is
+    the record's framed bytes (prefix included, sliced from ``data``),
+    so ``b"".join`` of the frames rebuilds ``data`` exactly.  Only the
+    key is decoded; the scan then jumps to the end of the frame using
+    the length prefix.  This is what a merge pass needs — it orders
+    records by key and writes them back unchanged (Hadoop merges spills
+    as raw bytes the same way).  Truncation and bad UTF-8 in a key
+    raise the same :class:`SerdeError` as :func:`decode_stream`; value
+    bytes are not inspected.
+    """
+    out: list[tuple[Any, Any]] = []
+    append = out.append
+    decoders = _DECODERS
+    size = len(data)
+    offset = 0
+    try:
+        while offset < size:
+            start = offset
+            n = data[offset]
+            offset += 1
+            if n > 0x7F:
+                n, offset = _read_len_cont(data, offset, n & 0x7F)
+            frame_end = offset + n
+            tag = data[offset]
+            offset += 1
+            if tag == 0x05:  # _TAG_STR
+                n = data[offset]
+                offset += 1
+                if n > 0x7F:
+                    n, offset = _read_len_cont(data, offset, n & 0x7F)
+                end = offset + n
+                if end > size:
+                    raise SerdeError("truncated string")
+                try:
+                    key = str(data[offset:end], "utf-8")
+                except UnicodeDecodeError:
+                    raise SerdeError(
+                        "invalid utf-8 in string payload"
+                    ) from None
+                offset = end
+            elif tag == 0x03:  # _TAG_INT
+                byte = data[offset]
+                offset += 1
+                if byte < 0x80:
+                    key = (byte >> 1) ^ -(byte & 1)
+                else:
+                    key, offset = _dec_int(data, offset - 1)
+            elif tag <= 0x02:  # _TAG_NONE / _TAG_FALSE / _TAG_TRUE
+                key = _SMALL_VALUES[tag]
+            else:
+                key, offset = decoders[tag](data, offset)
+            if frame_end > size:
+                raise SerdeError("truncated record")
+            if offset > frame_end:
+                raise SerdeError("record key overruns its frame")
+            append((key, data[start:frame_end]))
+            offset = frame_end
     except IndexError:
         raise SerdeError("truncated record") from None
     return out

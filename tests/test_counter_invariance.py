@@ -10,8 +10,9 @@ This test runs the Figure 9 workload — all four strategies crossed
 with all three partitioners, with a sort buffer small enough to force
 map-side spills and multi-pass merges — once per data-plane tier
 (reference / fast paths / fast paths + ``REPRO_BATCH`` batched
-dataflow) and diffs every counter; an extra leg repeats the matrix
-with node-level in-node combining enabled.
+dataflow) and diffs every counter; extra legs repeat the matrix with
+node-level in-node combining enabled and with a merge factor small
+enough that reduce tasks merge in passes too.
 
 Only the measured-CPU counters are excluded: those are wall-clock
 *measurements* of user/framework code (that the fast paths exist to
@@ -28,6 +29,7 @@ import pytest
 from repro.datagen.qlog import generate_query_log
 from repro.experiments.common import measure_job, strategy_variants
 from repro.experiments.fig09_map_output import STRATEGIES, partitioner_lineup
+from repro.mr import counters as C
 from repro.mr import fastpath
 from repro.mr.split import split_records
 from repro.workloads.query_suggestion import query_suggestion_job
@@ -122,6 +124,34 @@ def test_counters_identical_across_tiers(part_name, strategy) -> None:
     assert any(
         "spill" in name and value for name, value in ref_counters.items()
     ), "test inputs no longer force spills — shrink sort_buffer_bytes"
+
+
+#: Below NUM_SPLITS, so reduce tasks also merge their fetched runs in
+#: intermediate passes (the default factor of 10 never does here).
+REDUCE_PASS_MERGE_FACTOR = 2
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_reduce_side_merge_passes_counters_identical(strategy) -> None:
+    """The multi-pass leg: with a merge factor below the number of map
+    tasks, reduce-side passes run too (raw-frame merges on the batched
+    tier), and counters and output must still match the reference."""
+    job = strategy_variants(
+        query_suggestion_job(
+            num_reducers=NUM_REDUCERS,
+            sort_buffer_bytes=SORT_BUFFER_BYTES,
+            merge_factor=REDUCE_PASS_MERGE_FACTOR,
+        )
+    )[strategy]
+
+    ref_counters = _assert_tiers_identical(job, f"reduce-passes/{strategy}")
+
+    # Pigeonhole: more fetched runs than merge_factor * reducers means
+    # at least one reduce task merged in passes.
+    assert (
+        ref_counters[C.REDUCE_MERGE_SEGMENTS]
+        > REDUCE_PASS_MERGE_FACTOR * NUM_REDUCERS
+    ), "reduce tasks no longer merge in passes — lower the merge factor"
 
 
 @pytest.mark.parametrize("part_name", list(partitioner_lineup()))

@@ -9,6 +9,7 @@ trailing-garbage results.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,6 +231,27 @@ class TestBatchEncoderParity:
         assert sizes == [serde.record_size(k, v) for k, v in records]
         assert serde.decode_stream(out) == list(records)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(max_size=200),
+                st.integers(min_value=-(2**80), max_value=2**80)
+                | st.sampled_from(_BOUNDARY_INTS),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_str_int_run_matches_reference(self, records) -> None:
+        """Sort's (str, int) run shape, bigints and long keys included."""
+        out = bytearray()
+        sizes = serde.encode_kv_batch(out, records)
+        assert bytes(out) == b"".join(
+            serde_ref.encode_kv(k, v) for k, v in records
+        )
+        assert sizes == [serde.record_size(k, v) for k, v in records]
+
     def test_empty_batch(self) -> None:
         out = bytearray(b"prefix")
         assert serde.encode_kv_batch(out, []) == []
@@ -295,6 +317,49 @@ class TestBatchEncoderParity:
         assert RecordBatch.from_segment_bytes(bytes(out)).pairs == list(
             records
         )
+
+
+class TestKeyFrameScan:
+    """`decode_key_frames`, the raw-frame merge's scan: keys as
+    `decode_stream` reads them, frames that rebuild the stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records)
+    def test_keys_and_frames_match_decode_stream(self, records) -> None:
+        out = bytearray()
+        serde.append_records(out, records)
+        data = bytes(out)
+        frames = serde.decode_key_frames(data)
+        assert [key for key, _ in frames] == [
+            key for key, _ in serde.decode_stream(data)
+        ]
+        assert b"".join(frame for _, frame in frames) == data
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_objects, _objects), min_size=1, max_size=6),
+           st.data())
+    def test_truncation_rejected(self, records, draw) -> None:
+        """A stream cut inside its last frame fails both scans."""
+        out = bytearray()
+        serde.append_records(out, records)
+        last_frame = serde.decode_key_frames(bytes(out))[-1][1]
+        start = len(out) - len(last_frame)
+        cut = draw.draw(st.integers(start + 1, len(out) - 1))
+        truncated = bytes(out[:cut])
+        with pytest.raises(serde.SerdeError):
+            serde.decode_stream(truncated)
+        with pytest.raises(serde.SerdeError):
+            serde.decode_key_frames(truncated)
+
+    def test_bad_utf8_key_rejected(self) -> None:
+        payload = bytes([0x05, 2, 0xC3, 0x28, 0x00])  # str key, None value
+        data = bytes([len(payload)]) + payload
+        for scan in (serde.decode_stream, serde.decode_key_frames):
+            with pytest.raises(serde.SerdeError, match="utf-8"):
+                scan(data)
+
+    def test_empty_stream(self) -> None:
+        assert serde.decode_key_frames(b"") == []
 
 
 class TestBufferBatchParity:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.mr import counters as C
-from repro.mr.api import Mapper, Partitioner, Reducer
-from repro.mr.comparators import comparator_from_key
+from repro.mr import fastpath
+from repro.mr.api import Combiner, Mapper, Partitioner, Reducer
+from repro.mr.comparators import (
+    comparator_from_key,
+    default_comparator,
+    raw_bytes_comparator,
+)
 from repro.mr.config import JobConf
-from repro.mr.cost import FixedCostMeter
+from repro.mr.cost import FixedCostMeter, TableCostMeter
 from repro.mr.maptask import MapTask
 from repro.mr.reducetask import ReduceTask
 
@@ -122,3 +129,77 @@ class TestSecondarySort:
         key, values = result.output[0]
         assert key[0] == 0
         assert values == [1, 2, 3]
+
+
+# -- raw-frame merge passes: byte identity with the reference tier ---------
+
+#: Measured wall-clock counters: the only ones a tier may change.
+_MEASURED = ("cpu.map.", "cpu.reduce.", "cpu.combine.", "cpu.partition.",
+             "cpu.codec.")
+
+
+class _SumCombiner(Combiner):
+    def reduce(self, key, values, context):
+        context.write(key, sum(values))
+
+
+def _reduce_on_tier(tier: str, **kwargs):
+    """Six map tasks into one partition, reduced with merge factor 2 on
+    one tier; returns the reduce output and analytic counters."""
+    import random
+
+    rng = random.Random(5)
+    # Keys repeat across and within splits (even: all in partition 0).
+    splits = [
+        [(rng.randrange(40) * 2, split * 100 + i) for i in range(30)]
+        for split in range(6)
+    ]
+    fast, batch = {"reference": (False, False), "batch": (True, True)}[tier]
+    job = _job(merge_factor=2, sort_buffer_bytes=1024, **kwargs)
+    with fastpath.forced(fast), fastpath.batch_forced(batch):
+        maps = _run_map_tasks(job, splits)
+        result = ReduceTask(job, 0).run([m.segments[0] for m in maps])
+    analytic = {
+        name: value
+        for name, value in result.counters.as_dict().items()
+        if not name.startswith(_MEASURED)
+    }
+    return result.output, analytic
+
+
+class TestRawFrameMergePasses:
+    @pytest.mark.parametrize(
+        "comparator",
+        [
+            default_comparator,
+            comparator_from_key(lambda key: -key, name="descending"),
+            raw_bytes_comparator,
+        ],
+        ids=["natural", "keyed", "raw-bytes"],
+    )
+    @pytest.mark.parametrize("combiner", [None, _SumCombiner])
+    def test_reduce_output_matches_reference_tier(
+        self, comparator, combiner
+    ) -> None:
+        kwargs = dict(comparator=comparator, combiner=combiner)
+        reference = _reduce_on_tier("reference", **kwargs)
+        batched = _reduce_on_tier("batch", **kwargs)
+        # Six runs, merge factor 2: the reduce side merged in passes,
+        # and the passes wrote to the reduce task's local disk.
+        assert reference[1][C.REDUCE_MERGE_SEGMENTS] == 6
+        assert reference[1][C.DISK_WRITE_BYTES] > 0
+        assert batched == reference
+
+    @pytest.mark.parametrize("codec", [None, "gzip"])
+    def test_merge_pass_compression_is_metered(self, codec) -> None:
+        """A reduce-side pass charges its compression to the codec CPU
+        counter, as the map side does."""
+        job = _job(
+            merge_factor=2,
+            map_output_codec=codec,
+            cost_meter=TableCostMeter({"compress": 1.0}),
+        )
+        maps = _run_map_tasks(job, [[(0, f"s{i}")] for i in range(3)])
+        result = ReduceTask(job, 0).run([m.segments[0] for m in maps])
+        # Three runs, factor 2: exactly one pass, one compression.
+        assert result.counters.get(C.CPU_CODEC_SECONDS) == 1.0

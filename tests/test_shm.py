@@ -15,6 +15,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -300,11 +301,22 @@ def _fused_maybe_fail(value: int) -> int:
     return value + 1
 
 
-def _crash_unless_marker(marker: str, value: int) -> int:
-    """Crash the hosting worker once per marker file, then run clean."""
+def _crash_unless_marker(marker: str, value: int, *peers: str) -> int:
+    """Crash the hosting worker once per marker file, then run clean.
+
+    Before crashing, wait (bounded) for every ``peers`` marker, so all
+    crashing tasks are running before the first crash breaks the pool;
+    otherwise a chunk still queued at that moment never writes its
+    marker and crashes again on the retry.
+    """
     if not os.path.exists(marker):
         with open(marker, "w"):
             pass
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and not all(
+            os.path.exists(peer) for peer in peers
+        ):
+            time.sleep(0.005)
         os._exit(13)
     return value * 10
 
@@ -345,10 +357,10 @@ class TestFusedDispatch:
             # Two chunks of two; each chunk's first task kills its
             # worker, losing the chunk-mate with it.
             argsets = [
-                (markers[0], 0),
-                (markers[0], 1),
-                (markers[1], 2),
-                (markers[1], 3),
+                (markers[0], 0, *markers),
+                (markers[0], 1, *markers),
+                (markers[1], 2, *markers),
+                (markers[1], 3, *markers),
             ]
             futures = pool.submit_many(_crash_unless_marker, argsets)
             crashed = 0
