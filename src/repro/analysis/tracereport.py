@@ -24,7 +24,12 @@ from repro.obs.trace import JobTrace
 
 
 def phase_rows(job: JobTrace) -> list[dict[str, Any]]:
-    """Aggregate the job's spans by name: calls, totals, share."""
+    """Aggregate the job's spans by name: calls, totals, share.
+
+    A rollup span (a hot call site's per-task aggregate, see
+    :meth:`~repro.obs.trace.Tracer.hot_span`) counts as its ``calls``
+    with its own ``max_s``, so the rows match a per-call trace.
+    """
     stats: dict[str, dict[str, Any]] = {}
     order: list[str] = []
     for span in job.spans:
@@ -38,9 +43,15 @@ def phase_rows(job: JobTrace) -> list[dict[str, Any]]:
                 "max_s": 0.0,
             }
             order.append(span.name)
-        entry["calls"] += 1
+        attrs = span.attrs
+        if "calls" in attrs and "max_s" in attrs:
+            entry["calls"] += attrs["calls"]
+            longest = attrs["max_s"]
+        else:
+            entry["calls"] += 1
+            longest = span.duration
         entry["total_s"] += span.duration
-        entry["max_s"] = max(entry["max_s"], span.duration)
+        entry["max_s"] = max(entry["max_s"], longest)
     rows = [stats[name] for name in order]
     grand_total = sum(row["total_s"] for row in rows)
     for row in rows:

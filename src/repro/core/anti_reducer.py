@@ -131,10 +131,12 @@ class DecodeLoop:
         """Decode one group's encoded value components into Shared.
 
         The whole group decode — including every ``Shared.add`` insert
-        it performs — is one ``shared.decode`` span, so per-record
-        inserts are aggregated rather than traced individually.
+        it performs — is one ``shared.decode`` call, so per-record
+        inserts are aggregated rather than traced individually.  It is
+        a hot site (one call per group): a recorded-only run rolls the
+        calls up into one span per task attempt.
         """
-        with self._tracer.span(
+        with self._tracer.hot_span(
             "shared.decode", category="shared"
         ) as span:
             components = self._decode_components(rep_key, values, context)

@@ -232,13 +232,17 @@ class LocalJobRunner:
         # installed flight recorder turns tracing on for every job run
         # while installed (a recorded run's spans.jsonl feeds the
         # `repro runs diff` per-phase breakdown); otherwise the no-op
-        # tracer keeps the run zero-overhead.
+        # tracer keeps the run zero-overhead.  Whoever asked for a
+        # trace gets one span per call; a run traced only for the
+        # recorder rolls hot call sites up per task attempt, so the
+        # recording costs per task rather than per reduce group.
         collector = current_trace_collector()
         recorder = current_flight_recorder()
         tracer = self._tracer
-        if tracer is None:
-            active = collector is not None or recorder is not None
-            tracer = Tracer() if active else None
+        if tracer is None and collector is not None:
+            tracer = Tracer()
+        elif tracer is None and recorder is not None:
+            tracer = Tracer(rollup=True)
         scheduler = JobScheduler(
             executor,
             fault_policy=self._fault_policy,

@@ -56,10 +56,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     NULL_TRACER,
+    TRACE_OFF,
     NullTracer,
     SpanRecord,
     Tracer,
     activated,
+    task_tracer,
 )
 
 Record = tuple[Any, Any]
@@ -381,7 +383,8 @@ class ScriptedFaults(FaultPolicy):
 #
 # When tracing is requested the body activates a task-local tracer (in
 # the worker process, when attempts run on a pool) so the task phases
-# and the Shared structure can record spans; the finished spans travel
+# and the Shared structure can record spans at the job's span detail
+# (per call, or hot sites rolled up per task); the finished spans travel
 # back attached to the picklable result — like the segment payloads —
 # and the scheduler re-bases them onto the job timeline.  On failure
 # the partial counters and spans ride back inside TaskAttemptFailure.
@@ -432,12 +435,12 @@ def _run_map_attempt(
     task_id: str,
     split: list[Record],
     fault: FaultSpec | None,
-    trace: bool = False,
+    trace: str = TRACE_OFF,
     shm_prefix: str | None = None,
 ) -> MapTaskResult:
     _execute_fault(fault, task_id)
     counters = Counters()
-    tracer = Tracer() if trace else NULL_TRACER
+    tracer = task_tracer(trace)
     try:
         with activated(tracer):
             result = MapTask(job, task_id).run(split, counters=counters)
@@ -463,11 +466,11 @@ def _run_reduce_attempt(
     partition: int,
     payloads: list[SegmentPayload],
     fault: FaultSpec | None,
-    trace: bool = False,
+    trace: str = TRACE_OFF,
 ) -> ReduceTaskResult:
     _execute_fault(fault, f"reduce{partition}")
     counters = Counters()
-    tracer = Tracer() if trace else NULL_TRACER
+    tracer = task_tracer(trace)
     try:
         with activated(tracer):
             result = ReduceTask(job, partition).run(
@@ -1070,7 +1073,7 @@ class JobScheduler:
         # Scheduler-side spans and re-based task spans share the event
         # log's clock: seconds since job start, one timeline.
         tracer.sync(clock)
-        trace = tracer.enabled
+        trace = tracer.detail
 
         # Shared-memory shuffle plane (REPRO_SHM): on executors whose
         # results cross a process boundary, map attempts publish their
@@ -1114,7 +1117,7 @@ class JobScheduler:
         policy: RetryPolicy,
         events: EventLog,
         clock: Callable[[], float],
-        trace: bool,
+        trace: str,
         arena: "shm.SegmentArena | None",
         shm_prefix: str | None,
         fused: bool,

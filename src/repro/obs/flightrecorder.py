@@ -322,24 +322,24 @@ class FlightRecorder:
     ) -> None:
         # The same row shape `repro trace` consumes (obs.export
         # write_jsonl/load_jsonl), so a recorded run's spans.jsonl
-        # renders directly with the existing per-phase report.
-        self._store.append_row(
-            self._run_id,
-            SPANS_FILE,
-            {"type": "job", "job": name, "run": index},
-        )
+        # renders directly with the existing per-phase report.  One
+        # batch per job: the whole job lands in one append.
+        rows = [{"type": "job", "job": name, "run": index}]
         for span in spans:
             row = {"type": "span", "job": name, "run": index}
             row.update(span.as_dict())
-            self._store.append_row(self._run_id, SPANS_FILE, row)
+            rows.append(row)
+        self._store.append_rows(self._run_id, SPANS_FILE, rows)
 
     def _append_events(
         self, index: int, name: str, events: Sequence[dict]
     ) -> None:
+        rows = []
         for event in events:
             row = {"type": "event", "job": name, "run": index}
             row.update(event)
-            self._store.append_row(self._run_id, EVENTS_FILE, row)
+            rows.append(row)
+        self._store.append_rows(self._run_id, EVENTS_FILE, rows)
 
 
 # -- the process-wide (and thread-scoped) hook -----------------------------

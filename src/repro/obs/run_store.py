@@ -22,15 +22,16 @@ still leaves a usable post-mortem bundle; ``counters.json`` and
 
 Retention: :meth:`RunStore.prune` keeps the newest ``keep`` finished
 runs (``REPRO_RUNS_KEEP`` overrides the default of 64) and never
-touches a run that is still ``running``.
+touches a run that is still ``running``.  It reads only each run's
+manifest and status, and skips a run whose either is unreadable.
 
 Concurrency contract: many writers (processes or threads) may share
 one store root.  Creation retries on directory collisions instead of
-pre-checking, JSONL rows land as one ``O_APPEND`` write each (so a
-crash can only tear the *final* line, which readers skip and count),
-JSON documents are written to a temp file and atomically renamed into
-place, and readers tolerate runs vanishing underneath them (a
-concurrent ``prune``/``delete``).
+pre-checking, each job's JSONL rows land as one ``O_APPEND`` write per
+artifact (so a crash can only tear the *final* line, which readers skip
+and count), JSON documents are written to a temp file and atomically
+renamed into place, and readers tolerate runs vanishing underneath them
+(a concurrent ``prune``/``delete``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 #: File names inside one run directory.
 MANIFEST_FILE = "manifest.json"
@@ -260,14 +262,22 @@ class RunStore:
         return OpenRun(run_id=run_id, path=path)
 
     def append_row(self, run_id: str, file_name: str, row: dict) -> None:
-        """Append one JSON row to a run's JSONL artifact.
+        """Append one JSON row to a run's JSONL artifact."""
+        self.append_rows(run_id, file_name, (row,))
 
-        The row is pre-encoded and lands through an unbuffered
-        ``O_APPEND`` handle, so concurrent appenders never interleave
-        within a line and a crash can only tear the final line — which
-        :func:`_read_jsonl` skips and counts on read.
+    def append_rows(
+        self, run_id: str, file_name: str, rows: Iterable[dict]
+    ) -> None:
+        """Append a batch of JSON rows to a run's JSONL artifact.
+
+        The rows are pre-encoded and land as one write through an
+        unbuffered ``O_APPEND`` handle, so concurrent appenders never
+        interleave within a line and a crash can only tear the final
+        line — which :func:`_read_jsonl` skips and counts on read.
         """
-        data = (json.dumps(row) + "\n").encode()
+        data = "".join(json.dumps(row) + "\n" for row in rows).encode()
+        if not data:
+            return
         with (self.root / run_id / file_name).open(
             "ab", buffering=0
         ) as handle:
@@ -350,19 +360,34 @@ class RunStore:
         """Delete the oldest finished runs beyond ``keep``; a run still
         marked ``running`` is never pruned.  Returns the ids removed."""
         keep = self.keep if keep is None else keep
-        finished = [
-            record
-            for record in self.load_all()
-            if record.status_name != RUNNING
-        ]
-        finished.sort(key=lambda record: (record.started, record.run_id))
+        finished = sorted(
+            key
+            for key in map(self._finished_key, self.run_ids())
+            if key is not None
+        )
         removed: list[str] = []
-        for record in finished[: max(len(finished) - keep, 0)]:
+        for _, run_id in finished[: max(len(finished) - keep, 0)]:
             # ignore_errors: a concurrent prune may be removing the
             # same run; losing that race is success, not failure.
-            shutil.rmtree(record.path, ignore_errors=True)
-            removed.append(record.run_id)
+            shutil.rmtree(self.root / run_id, ignore_errors=True)
+            removed.append(run_id)
         return removed
+
+    def _finished_key(self, run_id: str) -> tuple[float, str] | None:
+        """``(started, run_id)`` of a finished run, read from its
+        manifest and status only; ``None`` for a run still running,
+        vanished underneath us, or with an unreadable manifest or
+        status — pruning skips those rather than failing the
+        ``finalize`` of an unrelated run."""
+        path = self.root / run_id
+        try:
+            manifest = json.loads((path / MANIFEST_FILE).read_text())
+            status = _read_json(path / STATUS_FILE, {"status": RUNNING})
+        except (OSError, ValueError):
+            return None
+        if status.get("status", RUNNING) == RUNNING:
+            return None
+        return float(manifest.get("started_unix", 0.0)), run_id
 
     def delete(self, run_id: str) -> None:
         path = self.root / run_id

@@ -19,6 +19,11 @@ Design constraints, in order:
    measure relative to the *task* start; the scheduler re-bases their
    spans onto the job clock using the attempt's START event offset, so
    every span in a finished trace shares one epoch.
+4. **Detail follows the consumer.**  A run someone asked to trace keeps
+   one span per call everywhere.  A run traced only for the flight
+   recorder rolls hot call sites (``Tracer.hot_span``) up into one span
+   per name per task attempt, so recording costs per task, not per
+   reduce group.
 """
 
 from __future__ import annotations
@@ -26,6 +31,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
+
+#: Span detail of a task attempt's tracer (the scheduler hands it to
+#: every attempt body): no spans, hot call sites rolled up per task, or
+#: one span per call.
+TRACE_OFF = "off"
+TRACE_ROLLUP = "rollup"
+TRACE_CALLS = "calls"
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,59 @@ class _Span:
         self._attrs.update(attrs)
 
 
+class _RollupSpan(_Span):
+    """An open hot-site span that folds into its name's rollup on exit."""
+
+    __slots__ = ()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        tracer = self._tracer
+        rollup = tracer._rollups.get(self._name)
+        if rollup is None:
+            rollup = tracer._rollups[self._name] = _Rollup(
+                self._category, self._begin
+            )
+        rollup.add(tracer.now() - self._begin, self._attrs)
+
+
+class _Rollup:
+    """One hot span name's aggregate over a task attempt.
+
+    Calls run one after another inside the task, so ``start`` (the
+    first call's) plus the summed ``duration`` stays within the task's
+    own interval.
+    """
+
+    __slots__ = ("category", "start", "duration", "calls", "max_s", "sums")
+
+    def __init__(self, category: str, start: float):
+        self.category = category
+        self.start = start
+        self.duration = 0.0
+        self.calls = 0
+        self.max_s = 0.0
+        self.sums: dict[str, Any] = {}
+
+    def add(self, duration: float, attrs: dict) -> None:
+        self.calls += 1
+        self.duration += duration
+        if duration > self.max_s:
+            self.max_s = duration
+        sums = self.sums
+        for key, value in attrs.items():
+            if isinstance(value, (int, float)):
+                sums[key] = sums.get(key, 0) + value
+
+    def record(self, name: str) -> SpanRecord:
+        return SpanRecord(
+            name=name,
+            start=self.start,
+            duration=self.duration,
+            category=self.category,
+            attrs={**self.sums, "calls": self.calls, "max_s": self.max_s},
+        )
+
+
 class _NullSpan:
     """The shared do-nothing span of the :class:`NullTracer`."""
 
@@ -119,10 +184,21 @@ class Tracer:
 
     enabled: bool = True
 
-    def __init__(self, clock: Callable[[], float] | None = None):
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        rollup: bool = False,
+    ):
         self._clock = clock if clock is not None else time.perf_counter
         self._epoch = self._clock()
         self._records: list[SpanRecord] = []
+        self._rollup = rollup
+        self._rollups: dict[str, _Rollup] = {}
+
+    @property
+    def detail(self) -> str:
+        """The span detail task attempts under this tracer record at."""
+        return TRACE_ROLLUP if self._rollup else TRACE_CALLS
 
     def now(self) -> float:
         """Seconds since this tracer's epoch."""
@@ -141,6 +217,17 @@ class Tracer:
         """Open a span; use as ``with tracer.span("map.spill"): ...``."""
         return _Span(self, name, category, attrs)
 
+    def hot_span(self, name: str, category: str = "", **attrs: Any) -> _Span:
+        """Open a span at a hot call site (one call per reduce group).
+
+        Per call like :meth:`span`, unless this tracer rolls up: then
+        every call of ``name`` folds into one span whose attrs carry
+        ``calls``, ``max_s`` and the summed numeric attributes.
+        """
+        if self._rollup:
+            return _RollupSpan(self, name, category, attrs)
+        return _Span(self, name, category, attrs)
+
     def extend(
         self,
         spans: Iterable[SpanRecord],
@@ -152,17 +239,21 @@ class Tracer:
             self._records.append(span.shifted(offset, **extra_attrs))
 
     def records(self) -> list[SpanRecord]:
-        """Snapshot of every finished span, in completion order."""
-        return list(self._records)
+        """Snapshot of every finished span, in completion order; the
+        rollups (if any) follow, one per hot span name."""
+        return self._records + [
+            rollup.record(name) for name, rollup in self._rollups.items()
+        ]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) + len(self._rollups)
 
 
 class NullTracer:
     """The disabled tracer: every operation is a no-op."""
 
     enabled = False
+    detail = TRACE_OFF
 
     def now(self) -> float:
         return 0.0
@@ -172,6 +263,8 @@ class NullTracer:
 
     def span(self, name: str, category: str = "", **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
+
+    hot_span = span
 
     def extend(
         self,
@@ -190,6 +283,14 @@ class NullTracer:
 
 #: The process-wide disabled tracer; call sites share this instance.
 NULL_TRACER = NullTracer()
+
+
+def task_tracer(detail: str) -> Tracer | NullTracer:
+    """A fresh tracer for one task attempt recording at ``detail``."""
+    if detail == TRACE_OFF:
+        return NULL_TRACER
+    return Tracer(rollup=detail == TRACE_ROLLUP)
+
 
 # -- the active tracer -----------------------------------------------------
 #

@@ -12,20 +12,31 @@ The load-bearing guarantees pinned here:
   job finishes, so a run that dies mid-way still leaves a usable
   post-mortem directory (exercised end-to-end in ``test_cli.py``).
 * **Retention** — pruning removes only the oldest *finished* runs and
-  never a run still marked ``running``.
+  never a run still marked ``running``; it reads only manifests and
+  statuses, so a damaged run cannot break an unrelated ``finalize``.
+* **Per-task span detail** — a recorded-only run rolls the per-group
+  ``shared.decode`` spans up into one span per reduce attempt whose
+  ``calls`` still count every group.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.analysis.tracereport import phase_rows
 from repro.bench.harness import BenchResult, ledger_entries
 from repro.cli import main
+from repro.core.config import Strategy
+from repro.core.transform import enable_anti_combining
+from repro.datagen import generate_query_log
+from repro.mr import counters as C
 from repro.mr.counters import MEASURED_CPU_COUNTERS
 from repro.mr.cost import FixedCostMeter
 from repro.mr.engine import LocalJobRunner
+from repro.mr.executor import ParallelExecutor
 from repro.mr.split import split_records
 from repro.obs.export import load_jsonl
 from repro.obs.flightrecorder import (
@@ -44,6 +55,7 @@ from repro.obs.run_store import (
     RunStoreError,
 )
 from repro.pipeline import Pipeline
+from repro.workloads.query_suggestion import query_suggestion_job
 from repro.workloads.wordcount import wordcount_job
 
 
@@ -71,6 +83,35 @@ def _record_wordcount(store: RunStore) -> FlightRecorder:
         clear_flight_recorder()
     recorder.finalize(COMPLETED)
     return recorder
+
+
+def _record_anti(store: RunStore, executor=None) -> FlightRecorder:
+    """Record one EagerSH Query-Suggestion job (no combiner)."""
+    queries = generate_query_log(num_queries=150, seed=7)
+    job = enable_anti_combining(
+        query_suggestion_job(
+            k=3, num_reducers=2, cost_meter=FixedCostMeter()
+        ),
+        strategy=Strategy.EAGER,
+        use_shared_combiner=False,
+    )
+    recorder = FlightRecorder(store, kind="experiment", name="anti")
+    set_flight_recorder(recorder)
+    try:
+        LocalJobRunner(executor=executor).run(
+            job, split_records(queries, num_splits=3)
+        )
+    finally:
+        clear_flight_recorder()
+    recorder.finalize(COMPLETED)
+    return recorder
+
+
+def _span_rows(recorder: FlightRecorder) -> list[dict]:
+    lines = (recorder.path / "spans.jsonl").read_text().splitlines()
+    return [
+        row for row in map(json.loads, lines) if row["type"] == "span"
+    ]
 
 
 # -- recording --------------------------------------------------------------
@@ -195,6 +236,52 @@ class TestCountersReceipt:
         recorder = _record_wordcount(store)
         assert recorder.finalize(FAILED) == recorder.run_id
         assert store.load(recorder.run_id).status_name == COMPLETED
+
+
+# -- span detail of recorded runs --------------------------------------------
+class TestRecordedSpanDetail:
+    def test_decode_rolls_up_per_reduce_attempt(self, tmp_path) -> None:
+        store = RunStore(tmp_path)
+        recorder = _record_anti(store)
+        (entry,) = store.load(recorder.run_id).entries
+        groups = entry["counters"][C.REDUCE_INPUT_GROUPS]
+        decodes = [
+            row for row in _span_rows(recorder)
+            if row["name"] == "shared.decode"
+        ]
+        per_attempt = Counter(
+            (row["attrs"]["task"], row["attrs"]["attempt"])
+            for row in decodes
+        )
+        assert per_attempt == {("reduce0", 1): 1, ("reduce1", 1): 1}
+        assert sum(row["attrs"]["calls"] for row in decodes) == groups
+        (job,) = load_jsonl(recorder.path / "spans.jsonl")
+        (row,) = [r for r in phase_rows(job) if r["phase"] == "shared.decode"]
+        assert row["calls"] == groups
+        assert row["max_s"] == max(r["attrs"]["max_s"] for r in decodes)
+        assert row["total_s"] == pytest.approx(
+            sum(r["duration"] for r in decodes)
+        )
+
+    def test_serial_and_pool_record_the_same_spans(self, tmp_path) -> None:
+        serial = _record_anti(RunStore(tmp_path / "serial"))
+        with ParallelExecutor(max_workers=2) as pool:
+            pooled = _record_anti(RunStore(tmp_path / "pool"), pool)
+
+        def untimed(recorder: FlightRecorder) -> Counter:
+            return Counter(
+                (
+                    row["name"],
+                    row["attrs"].get("task"),
+                    row["attrs"].get("calls"),
+                )
+                for row in _span_rows(recorder)
+            )
+
+        assert untimed(serial) == untimed(pooled)
+        assert (serial.path / "counters.json").read_bytes() == (
+            pooled.path / "counters.json"
+        ).read_bytes()
 
 
 # -- pipeline + bench entries ------------------------------------------------
@@ -345,6 +432,41 @@ class TestRunStore:
         survivors = set(store.run_ids())
         assert running in survivors
         assert set(ids[2:]) <= survivors
+
+    def test_prune_removes_oldest_finished_whatever_their_entries(
+        self, tmp_path
+    ) -> None:
+        store = RunStore(tmp_path, keep=2)
+        ids = [self._finished_run(store, tag) for tag in range(1, 5)]
+        # A corrupt middle line makes load() raise, but prune reads
+        # only manifests and statuses, so the oldest run still goes.
+        (tmp_path / ids[0] / "entries.jsonl").write_text("broken\n{}\n")
+        running = store.create(
+            {"kind": "t", "name": "live", "started_unix": 0.5}
+        ).run_id
+        assert store.prune() == ids[:2]
+        assert set(store.run_ids()) == {running, *ids[2:]}
+
+    def test_prune_skips_runs_with_unreadable_status(self, tmp_path) -> None:
+        store = RunStore(tmp_path, keep=1)
+        ids = [self._finished_run(store, tag) for tag in range(1, 4)]
+        (tmp_path / ids[0] / "status.json").write_text("{torn")
+        assert store.prune() == [ids[1]]
+        assert set(store.run_ids()) == {ids[0], ids[2]}
+
+    def test_damaged_run_does_not_break_later_finalize(
+        self, tmp_path
+    ) -> None:
+        store = RunStore(tmp_path, keep=1)
+        damaged = _record_wordcount(store)
+        entries = damaged.path / "entries.jsonl"
+        entries.write_text("not json at all\n" + entries.read_text())
+        with pytest.raises(json.JSONDecodeError):
+            store.load(damaged.run_id)
+        # An unrelated run finalises (and prunes the damaged one).
+        later = _record_wordcount(store)
+        assert store.run_ids() == [later.run_id]
+        assert store.load(later.run_id).status_name == COMPLETED
 
     def test_prune_never_drops_below_one(self, tmp_path) -> None:
         with pytest.raises(RunStoreError, match="at least one"):

@@ -41,6 +41,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     NULL_TRACER,
+    TRACE_CALLS,
+    TRACE_OFF,
+    TRACE_ROLLUP,
     JobTrace,
     NullTracer,
     SpanRecord,
@@ -51,17 +54,23 @@ from repro.obs.trace import (
     current_trace_collector,
     current_tracer,
     set_trace_collector,
+    task_tracer,
 )
-from repro.workloads.query_suggestion import query_suggestion_job
+from repro.workloads.query_suggestion import (
+    QuerySuggestionReducer,
+    query_suggestion_job,
+)
 from repro.workloads.wordcount import wordcount_job
 
 
-def _anti_job(**anti_kwargs):
+def _anti_job(reducer=None, **anti_kwargs):
     """A small Anti-Combining job that exercises Shared spilling."""
     queries = generate_query_log(num_queries=150, seed=7)
     job = query_suggestion_job(
         k=3, num_reducers=2, cost_meter=FixedCostMeter()
     )
+    if reducer is not None:
+        job = job.clone(reducer=reducer)
     anti = enable_anti_combining(
         job,
         strategy=Strategy.EAGER,
@@ -130,6 +139,44 @@ class TestTracer:
         assert NULL_TRACER.span("other") is span  # one shared instance
         assert NULL_TRACER.records() == []
         assert len(NULL_TRACER) == 0
+
+    def test_hot_span_rolls_up_per_name(self) -> None:
+        ticks = iter(float(n) for n in range(20))
+        tracer = Tracer(clock=lambda: next(ticks), rollup=True)
+        for components in (2, 5, 1):
+            with tracer.hot_span("hot", category="shared") as span:
+                span.set(components=components, label="x")
+        with tracer.span("cold"):
+            pass
+        cold, hot = tracer.records()
+        assert cold.name == "cold"
+        assert hot.name == "hot"
+        assert hot.category == "shared"
+        # Each call lasted one tick; the first began one tick after the
+        # epoch.
+        assert hot.start == 1.0
+        assert hot.duration == pytest.approx(3.0)
+        # Numeric attrs are summed; the others are dropped.
+        assert hot.attrs == {"components": 8, "calls": 3, "max_s": 1.0}
+        assert len(tracer) == 2
+        assert tracer.detail == TRACE_ROLLUP
+
+    def test_hot_span_is_per_call_by_default(self) -> None:
+        tracer = Tracer()
+        for _ in range(3):
+            with tracer.hot_span("hot") as span:
+                span.set(components=1)
+        records = tracer.records()
+        assert [r.name for r in records] == ["hot"] * 3
+        assert all(r.attrs == {"components": 1} for r in records)
+        assert tracer.detail == TRACE_CALLS
+
+    def test_task_tracer_follows_detail(self) -> None:
+        assert task_tracer(TRACE_OFF) is NULL_TRACER
+        assert task_tracer(TRACE_CALLS).detail == TRACE_CALLS
+        assert task_tracer(TRACE_ROLLUP).detail == TRACE_ROLLUP
+        assert NULL_TRACER.detail == TRACE_OFF
+        assert NULL_TRACER.hot_span("hot") is NULL_TRACER.span("x")
 
     def test_activation_restores_previous(self) -> None:
         tracer = Tracer()
@@ -322,6 +369,79 @@ class TestTracedRuns:
         assert any(span.name == "map.phase.setup" for span in failed)
 
 
+# -- span detail levels ---------------------------------------------------
+
+
+def _decode_spans(spans) -> list[SpanRecord]:
+    return [span for span in spans if span.name == "shared.decode"]
+
+
+class TestSpanDetail:
+    def test_explicit_tracer_keeps_one_decode_span_per_group(self) -> None:
+        # No combiner, so decoding happens only in reduce tasks: one
+        # shared.decode call per reduce group.
+        job, splits = _anti_job()
+        assert job.combiner is None
+        result = _traced_run(job, splits)
+        groups = result.counters.get_int(C.REDUCE_INPUT_GROUPS)
+        decodes = _decode_spans(result.spans)
+        assert groups > job.num_reducers
+        assert len(decodes) == groups
+        assert all("calls" not in span.attrs for span in decodes)
+
+    def test_collector_keeps_per_call_spans(self) -> None:
+        job, splits = _anti_job()
+        set_trace_collector(TraceCollector())
+        try:
+            result = LocalJobRunner().run(job, splits)
+        finally:
+            clear_trace_collector()
+        groups = result.counters.get_int(C.REDUCE_INPUT_GROUPS)
+        assert len(_decode_spans(result.spans)) == groups
+
+    def test_rollup_tracer_keeps_one_decode_span_per_task(self) -> None:
+        job, splits = _anti_job()
+        tracer = Tracer(rollup=True)
+        result = LocalJobRunner(tracer=tracer).run(job, splits)
+        decodes = _decode_spans(result.spans)
+        assert sorted(span.attrs["task"] for span in decodes) == [
+            "reduce0",
+            "reduce1",
+        ]
+        groups = result.counters.get_int(C.REDUCE_INPUT_GROUPS)
+        assert sum(span.attrs["calls"] for span in decodes) == groups
+        # The rollup sits inside its task's attempt interval.
+        finishes = {
+            event.task_id: event.t_seconds
+            for event in result.events
+            if event.event == E.FINISH
+        }
+        for span in decodes:
+            assert span.duration >= span.attrs["max_s"] > 0
+            assert span.start + span.duration <= finishes[span.attrs["task"]]
+        plain = LocalJobRunner().run(job, splits)
+        assert result.counters.as_dict() == plain.counters.as_dict()
+
+    def test_failed_attempt_carries_its_rollups(self) -> None:
+        flaky, splits = _anti_job(reducer=FlakyReducer)
+        _FLAKY_ATTEMPTS.clear()
+        tracer = Tracer(rollup=True)
+        LocalJobRunner(max_attempts=2, tracer=tracer).run(flaky, splits)
+        decodes = _decode_spans(tracer.records())
+        failed = [s for s in decodes if s.attrs.get("failed") is True]
+        assert len(failed) == 1
+        assert failed[0].attrs["task"] == "reduce0"
+        assert failed[0].attrs["attempt"] == 1
+        assert failed[0].attrs["calls"] >= 1
+        retried = [
+            s
+            for s in decodes
+            if s.attrs["task"] == "reduce0" and "failed" not in s.attrs
+        ]
+        assert [s.attrs["attempt"] for s in retried] == [2]
+        assert retried[0].attrs["calls"] > failed[0].attrs["calls"]
+
+
 #: Per-task attempt counter for :class:`FlakyMapper` (serial mode only:
 #: the state lives in the scheduling process).
 _FLAKY_ATTEMPTS: dict[str, int] = {}
@@ -338,6 +458,25 @@ class FlakyMapper(Mapper):
             if attempt == 1:
                 _FLAKY_ATTEMPTS[context.task_id] = 2
                 raise RuntimeError("flaky mapper: first attempt dies")
+
+
+class FlakyReducer(QuerySuggestionReducer):
+    """Dies on ``reduce0``'s first attempt after a few groups."""
+
+    FAIL_AFTER = 5
+
+    def __init__(self) -> None:
+        super().__init__(k=3)
+        self._groups = 0
+
+    def reduce(self, key, values, context: Context) -> None:
+        super().reduce(key, values, context)
+        self._groups += 1
+        if context.task_id == "reduce0" and self._groups == self.FAIL_AFTER:
+            attempt = _FLAKY_ATTEMPTS.get(context.task_id, 1)
+            if attempt == 1:
+                _FLAKY_ATTEMPTS[context.task_id] = 2
+                raise RuntimeError("flaky reducer: first attempt dies")
 
 
 # -- export ----------------------------------------------------------------

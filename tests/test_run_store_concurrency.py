@@ -8,6 +8,9 @@ service, parallel CLI runs sharing one root):
 * **Torn tails don't poison** — a crash mid-append leaves at most one
   partial final JSONL line; reads skip and count it instead of raising
   ``json.JSONDecodeError`` at every ``/runs``/``/metrics`` scrape.
+* **Batches land whole lines** — concurrent multi-row batch appends
+  (one write per batch) never interleave within a line, and a batch
+  cut mid-row tears only the final line.
 * **Readers tolerate vanishing runs** — ``load_all`` racing a
   ``prune``/``delete`` skips the removed run instead of erroring the
   whole listing.
@@ -19,6 +22,7 @@ service, parallel CLI runs sharing one root):
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,8 +31,10 @@ import pytest
 from repro.obs.run_store import (
     COMPLETED,
     ENTRIES_FILE,
+    SPANS_FILE,
     RunStore,
     RunStoreError,
+    _read_jsonl,
 )
 from repro.obs.server import render_metrics
 
@@ -48,6 +54,107 @@ def _create_batch(args: tuple[str, int]) -> list[str]:
         ).run_id
         for _ in range(n)
     ]
+
+
+#: Rows per batch and padding per row of the batch-append stress: a
+#: batch spans several pages, so a non-atomic append would split rows.
+_BATCH_ROWS = 40
+_ROW_PAD = "x" * 600
+
+
+def _append_batches(args: tuple[str, str, int, int]) -> None:
+    """Append ``batches`` multi-row batches as writer ``writer``."""
+    root, run_id, writer, batches = args
+    store = RunStore(root, keep=500)
+    for batch in range(batches):
+        store.append_rows(
+            run_id,
+            SPANS_FILE,
+            [
+                {"writer": writer, "batch": batch, "row": row,
+                 "pad": _ROW_PAD}
+                for row in range(_BATCH_ROWS)
+            ],
+        )
+
+
+def _check_batches(path, writers: int, batches: int) -> None:
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == writers * batches * _BATCH_ROWS
+    seen: dict[int, list[tuple[int, int]]] = {}
+    for line in lines:
+        row = json.loads(line)  # every line is one whole row
+        assert row["pad"] == _ROW_PAD
+        seen.setdefault(row["writer"], []).append(
+            (row["batch"], row["row"])
+        )
+    expected = [
+        (batch, row)
+        for batch in range(batches)
+        for row in range(_BATCH_ROWS)
+    ]
+    assert {writer: rows for writer, rows in seen.items()} == {
+        writer: expected for writer in range(writers)
+    }
+
+
+class TestBatchAppend:
+    def test_concurrent_processes_append_whole_lines(self, tmp_path) -> None:
+        run = RunStore(tmp_path).create({"kind": "x", "name": "batch"})
+        writers, batches = 4, 6
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            list(
+                pool.map(
+                    _append_batches,
+                    [
+                        (str(tmp_path), run.run_id, writer, batches)
+                        for writer in range(writers)
+                    ],
+                )
+            )
+        _check_batches(run.path / SPANS_FILE, writers, batches)
+
+    def test_concurrent_threads_append_whole_lines(self, tmp_path) -> None:
+        run = RunStore(tmp_path).create({"kind": "x", "name": "batch"})
+        writers, batches = 6, 6
+        threads = [
+            threading.Thread(
+                target=_append_batches,
+                args=((str(tmp_path), run.run_id, writer, batches),),
+            )
+            for writer in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        _check_batches(run.path / SPANS_FILE, writers, batches)
+
+    def test_batch_cut_inside_last_row_tears_one_tail(
+        self, tmp_path
+    ) -> None:
+        store = RunStore(tmp_path)
+        run = store.create({"kind": "x", "name": "batch"})
+        _append_batches((str(tmp_path), run.run_id, 0, 1))
+        path = run.path / SPANS_FILE
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - len(_ROW_PAD) // 2])
+        torn: list = []
+        rows = _read_jsonl(path, torn.append)
+        assert [row["row"] for row in rows] == list(range(_BATCH_ROWS - 1))
+        assert torn == [path]
+
+    def test_empty_batch_writes_nothing(self, tmp_path) -> None:
+        store = RunStore(tmp_path)
+        run = store.create({"kind": "x", "name": "batch"})
+        store.append_rows(run.run_id, SPANS_FILE, [])
+        assert not (run.path / SPANS_FILE).exists()
 
 
 class TestConcurrentCreate:
